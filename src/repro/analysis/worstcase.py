@@ -280,55 +280,75 @@ def randomized_search(
     best = SearchResult(0, None, None, 0, False)
 
     for _ in range(trials):
-        ports = rng.permutation(n)
-        pairs = [
-            (int(ports[2 * i]), int(ports[2 * i + 1]))
-            for i in range(min(pool_size, n // 2))
-        ]
-        # One columnar pass resolves the seed matching; the lookups
-        # below then hit.  Decisions are untouched (primed routes are
-        # byte-identical), only the routing work is batched.
-        cache.prime(pairs)
-        loads: Counter = Counter()
-        links_of: dict[tuple[int, int], frozenset[Point]] = {}
-        for pair in pairs:
-            links = cache.route(Conference.of(pair)).links
-            links_of[pair] = links
-            loads.update(links)
-        if not loads:
+        found = hill_climb_trial(rng, cache, n, pool_size)
+        if found is None:
             continue
-        target, _ = max(loads.items(), key=lambda kv: kv[1])
-        # Keep only pairs crossing the target link, then top up greedily.
-        keep = [p for p in pairs if target in links_of[p]]
-        used = {x for p in keep for x in p}
-        free = [p for p in range(n) if p not in used]
-        rng.shuffle(free)
-        for i in range(len(free)):
-            if free[i] in used:
-                continue  # every inner pair would be skipped anyway
-            primed_until = i + 1  # greedy-scan candidates primed so far
-            for j in range(i + 1, len(free)):
-                a, b = free[i], free[j]
-                if a in used or b in used:
-                    continue
-                if j >= primed_until:
-                    # Prime the next block of candidate pairs lazily: a
-                    # hit poisons the rest of this scan (``a`` becomes
-                    # used), so batching far ahead would route pairs the
-                    # sequential walk never asks for.
-                    block = []
-                    k = j
-                    while k < len(free) and len(block) < 64:
-                        if free[k] not in used:
-                            block.append((min(a, free[k]), max(a, free[k])))
-                        k += 1
-                    primed_until = k
-                    cache.prime(block)
-                pair = (min(a, b), max(a, b))
-                if target in cache.route(Conference.of(pair)).links:
-                    keep.append(pair)
-                    used.update(pair)
+        keep, target = found
         if len(keep) > best.multiplicity:
             witness = ConferenceSet.of(n, keep)
             best = SearchResult(len(keep), witness, target, trials, False)
     return SearchResult(best.multiplicity, best.witness, best.link, trials, False)
+
+
+def hill_climb_trial(
+    rng: np.random.Generator, cache, n: int, pool_size: int
+) -> "tuple[list[tuple[int, int]], Point] | None":
+    """One hill-climbing trial of the randomized worst-case search.
+
+    Draws a random matching of up to ``pool_size`` pairs, targets its
+    most loaded link, keeps the pairs crossing it and greedily tops up
+    with further disjoint pairs that cross it too.  Returns the kept
+    pairs and the target link, or None when the matching loads no link.
+    ``cache`` is a :class:`~repro.parallel.cache.RouteCache`; both the
+    serial search and the sharded trial run this body, so the RNG call
+    order is the same in each.
+    """
+    ports = rng.permutation(n)
+    pairs = [
+        (int(ports[2 * i]), int(ports[2 * i + 1]))
+        for i in range(min(pool_size, n // 2))
+    ]
+    # One columnar pass resolves the seed matching; the lookups
+    # below then hit.  Decisions are untouched (primed routes are
+    # byte-identical), only the routing work is batched.
+    cache.prime(pairs)
+    loads: Counter = Counter()
+    links_of: dict[tuple[int, int], frozenset[Point]] = {}
+    for pair in pairs:
+        links = cache.route(Conference.of(pair)).links
+        links_of[pair] = links
+        loads.update(links)
+    if not loads:
+        return None
+    target, _ = max(loads.items(), key=lambda kv: kv[1])
+    # Keep only pairs crossing the target link, then top up greedily.
+    keep = [p for p in pairs if target in links_of[p]]
+    used = {x for p in keep for x in p}
+    free = [p for p in range(n) if p not in used]
+    rng.shuffle(free)
+    for i in range(len(free)):
+        if free[i] in used:
+            continue  # every inner pair would be skipped anyway
+        primed_until = i + 1  # greedy-scan candidates primed so far
+        for j in range(i + 1, len(free)):
+            a, b = free[i], free[j]
+            if a in used or b in used:
+                continue
+            if j >= primed_until:
+                # Prime the next block of candidate pairs lazily: a
+                # hit poisons the rest of this scan (``a`` becomes
+                # used), so batching far ahead would route pairs the
+                # sequential walk never asks for.
+                block = []
+                k = j
+                while k < len(free) and len(block) < 64:
+                    if free[k] not in used:
+                        block.append((min(a, free[k]), max(a, free[k])))
+                    k += 1
+                primed_until = k
+                cache.prime(block)
+            pair = (min(a, b), max(a, b))
+            if target in cache.route(Conference.of(pair)).links:
+                keep.append(pair)
+                used.update(pair)
+    return keep, target

@@ -1038,6 +1038,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if all(counts[s] == 0 for s in ("queued", "active", "degraded", "down")) else 1
 
 
+def _delivery_rows(delivery: dict) -> list[dict]:
+    """Table rows for the buffered delivery block of a serve/cluster bench."""
+    config, lat = delivery["config"], delivery["latency"]
+
+    def _c(v):
+        return round(v, 1) if v is not None else "-"
+
+    return [
+        {"metric": "delivery model", "value": (
+            f"buffered L={config['lanes']} D={config['buffer_depth']} "
+            f"F={config['flits_per_packet']}"
+            + (" tdm" if config["tdm"] else "")
+        )},
+        {"metric": "delivered / offered packets", "value": (
+            f"{delivery['delivered_packets']} / {delivery['offered_packets']} "
+            f"({round(delivery['delivery_ratio'], 4)})"
+        )},
+        {"metric": "delivery latency p50 / p95 / p99 (cycles)", "value": (
+            f"{_c(lat['p50'])} / {_c(lat['p95'])} / {_c(lat['p99'])}"
+        )},
+    ]
+
+
 def _cmd_bench_serve(args: argparse.Namespace) -> int:
     from repro.serve.bench import run_serve_bench
     from repro.sim.faults import FaultProcessConfig
@@ -1107,22 +1130,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
         )},
     ]
     if report.delivery is not None:
-        d = report.delivery
-        lat = d["latency"]
-        def _c(v):
-            return round(v, 1) if v is not None else "-"
-        rows.append({"metric": "delivery model", "value": (
-            f"buffered L={d['config']['lanes']} D={d['config']['buffer_depth']} "
-            f"F={d['config']['flits_per_packet']}"
-            + (" tdm" if d["config"]["tdm"] else "")
-        )})
-        rows.append({"metric": "delivered / offered packets", "value": (
-            f"{d['delivered_packets']} / {d['offered_packets']} "
-            f"({round(d['delivery_ratio'], 4)})"
-        )})
-        rows.append({"metric": "delivery latency p50 / p95 / p99 (cycles)", "value": (
-            f"{_c(lat['p50'])} / {_c(lat['p95'])} / {_c(lat['p99'])}"
-        )})
+        rows.extend(_delivery_rows(report.delivery))
     print(render_table(
         rows,
         title=f"serve bench ({args.topology}, N={args.ports}, seed={args.seed}, "
@@ -1278,22 +1286,7 @@ def _cmd_bench_cluster(args: argparse.Namespace) -> int:
         )},
     ]
     if report.delivery is not None:
-        d = report.delivery
-        lat = d["latency"]
-        def _c(v):
-            return round(v, 1) if v is not None else "-"
-        rows.append({"metric": "delivery model", "value": (
-            f"buffered L={d['config']['lanes']} D={d['config']['buffer_depth']} "
-            f"F={d['config']['flits_per_packet']}"
-            + (" tdm" if d["config"]["tdm"] else "")
-        )})
-        rows.append({"metric": "delivered / offered packets", "value": (
-            f"{d['delivered_packets']} / {d['offered_packets']} "
-            f"({round(d['delivery_ratio'], 4)})"
-        )})
-        rows.append({"metric": "delivery latency p50 / p95 / p99 (cycles)", "value": (
-            f"{_c(lat['p50'])} / {_c(lat['p95'])} / {_c(lat['p99'])}"
-        )})
+        rows.extend(_delivery_rows(report.delivery))
     print(render_table(
         rows,
         title=f"cluster bench ({args.topology}, N={args.ports} per shard, "

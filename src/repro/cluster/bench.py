@@ -37,6 +37,7 @@ from repro.cluster.controller import ClusterService, ShardState
 from repro.cluster.directory import EntryState
 from repro.core.network import ConferenceNetwork
 from repro.serve.backpressure import ShedPolicy
+from repro.serve.bench import _PortPool
 from repro.serve.protocol import ServiceResponse
 from repro.sim.faults import generate_fault_timeline
 from repro.sim.metrics import AvailabilityStats
@@ -176,36 +177,6 @@ class ClusterBenchReport:
         }
 
 
-class _PortPool:
-    """Free-port bookkeeping with deterministic sampling order.
-
-    The pool spans the cluster's *logical* endpoint space (one fabric's
-    port range): concurrent conferences are therefore port-disjoint no
-    matter which shard hosts them, which is one leg of the shard-count
-    invariance argument above.
-    """
-
-    def __init__(self, n_ports: int):
-        self._free = list(range(n_ports))  # kept sorted
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def grab(self, rng, count: int) -> tuple[int, ...]:
-        """Remove and return ``count`` uniformly-chosen free ports."""
-        picked = rng.choice(len(self._free), size=count, replace=False)
-        ports = tuple(sorted(self._free[i] for i in picked))
-        for p in ports:
-            self._free.remove(p)
-        return ports
-
-    def release(self, ports) -> None:
-        """Return ports to the pool (kept sorted for determinism)."""
-        for p in ports:
-            self._free.append(p)
-        self._free.sort()
-
-
 def run_cluster_bench(
     *,
     topology: str = "indirect-binary-cube",
@@ -304,6 +275,10 @@ def run_cluster_bench(
             injectors.append(cluster.attach_faults(shard_id, timeline))
 
     directory = cluster.directory
+    # The pool spans the cluster's *logical* endpoint space (one fabric's
+    # port range): concurrent conferences are therefore port-disjoint no
+    # matter which shard hosts them, one leg of the shard-count
+    # invariance argument above.
     pool = _PortPool(ports)
     closes_due: dict[int, list[int]] = {}
     outstanding = [0]  # submitted requests awaiting a terminal response

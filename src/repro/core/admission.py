@@ -19,10 +19,12 @@ network's dilation.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:
     from repro.core.churn import ChurnResult
@@ -30,7 +32,7 @@ if TYPE_CHECKING:
 from repro.core.batch import route_batch
 from repro.core.conference import Conference, ConferenceSet
 from repro.core.network import ConferenceNetwork
-from repro.core.routing import Route
+from repro.core.routing import Route, flat_link_index
 from repro.topology.network import Point
 from repro.util.validation import check_network_size
 
@@ -189,11 +191,17 @@ class AdmissionController:
     admitted only when every link the new route needs has spare
     capacity.  This is what the blocking-probability experiment (F3)
     drives.
+
+    The ledger is one stage-major ``(n_stages + 1, n_ports)`` int array:
+    entry ``[t, r]`` is the load of the link entering ``(t, r)``, i.e.
+    :func:`~repro.core.batch.stage_occupancy` of the live routes, kept
+    current.  Every change to it goes through :meth:`_book`.
     """
 
     def __init__(self, network: ConferenceNetwork, *, tracer=None):
         self._network = network
-        self._loads: Counter = Counter()
+        self._ledger = np.zeros((network.n_stages + 1, network.n_ports), dtype=np.int64)
+        self._flat = self._ledger.reshape(-1)  # view indexed by Route.link_index
         self._routes: dict[int, Route] = {}
         self._ports_in_use: set[int] = set()
         # Observation only (duck-typed repro.obs.trace.Tracer): ledger
@@ -216,12 +224,16 @@ class AdmissionController:
         return frozenset(self._ports_in_use)
 
     def link_load(self, link: Point) -> int:
-        """Current channel load on one inter-stage link."""
-        return self._loads[link]
+        """Current channel load on one inter-stage link (0 off the fabric)."""
+        level, row = link
+        n_levels, n_rows = self._ledger.shape
+        if 0 <= level < n_levels and 0 <= row < n_rows:
+            return int(self._ledger[level, row])
+        return 0
 
     def peak_load(self) -> int:
         """The worst current link load (0 when idle)."""
-        return max(self._loads.values(), default=0)
+        return int(self._ledger.max())
 
     def stage_loads(self) -> dict[int, list[int]]:
         """Nonzero channel loads per entering level, in row order.
@@ -232,11 +244,11 @@ class AdmissionController:
         multiplicity at that stage — the paper's headline quantity,
         live.
         """
-        out: dict[int, list[int]] = {}
-        for (level, _row), load in sorted(self._loads.items()):
-            if load > 0:
-                out.setdefault(level, []).append(load)
-        return out
+        return {
+            level: loads[loads > 0].tolist()
+            for level, loads in enumerate(self._ledger)
+            if loads.any()
+        }
 
     def route_of(self, conference_id: int) -> Route:
         """The live route of one admitted conference."""
@@ -249,13 +261,9 @@ class AdmissionController:
         """Admit and route a conference, or raise :class:`AdmissionDenied`."""
         if not isinstance(conference, Conference):
             conference = Conference.of(conference)
-        if conference.conference_id in self._routes:
-            raise AdmissionDenied(
-                "ports", f"conference id {conference.conference_id} already live"
-            )
-        clash = self._ports_in_use.intersection(conference.members)
-        if clash:
-            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
+        denial = self._port_denial(conference, None)
+        if denial is not None:
+            raise denial
         return self.admit_route(self._network.route(conference))
 
     def try_join_batch(
@@ -280,15 +288,9 @@ class AdmissionController:
         outcomes: list[BatchAdmissionOutcome] = []
         for conference, attempt in zip(confs, routed):
             try:
-                if conference.conference_id in self._routes:
-                    raise AdmissionDenied(
-                        "ports", f"conference id {conference.conference_id} already live"
-                    )
-                clash = self._ports_in_use.intersection(conference.members)
-                if clash:
-                    raise AdmissionDenied(
-                        "ports", f"ports {sorted(clash)} already in a conference"
-                    )
+                denial = self._port_denial(conference, None)
+                if denial is not None:
+                    raise denial
                 route = self.admit_route(attempt.unwrap())
             except AdmissionDenied as denial:
                 outcomes.append(
@@ -306,35 +308,11 @@ class AdmissionController:
         Same checks as :meth:`try_join` — port exclusivity and link
         capacity — but the caller controls how the route was produced.
         """
-        conference = route.conference
-        if conference.conference_id in self._routes:
-            self._trace_deny(conference.conference_id, "ports")
-            raise AdmissionDenied(
-                "ports", f"conference id {conference.conference_id} already live"
-            )
-        clash = self._ports_in_use.intersection(conference.members)
-        if clash:
-            self._trace_deny(conference.conference_id, "ports")
-            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        cap = self._network.dilation
-        for link in route.links:
-            if self._loads[link] + 1 > cap:
-                self._trace_deny(conference.conference_id, "capacity")
-                raise AdmissionDenied(
-                    "capacity", f"link {link} at load {self._loads[link]}/{cap}"
-                )
-        self._loads.update(route.links)
-        self._routes[conference.conference_id] = route
-        self._ports_in_use.update(conference.members)
+        cid = route.conference.conference_id
+        self._book(cid, None, route)
         if self.tracer is not None:
-            self.tracer.event(
-                "admission.admit", cid=conference.conference_id, links=route.n_links
-            )
+            self.tracer.event("admission.admit", cid=cid, links=route.n_links)
         return route
-
-    def _trace_deny(self, cid: int, reason: str) -> None:
-        if self.tracer is not None:
-            self.tracer.event("admission.deny", cid=cid, reason=reason)
 
     def replace_route(self, conference_id: int, new_route: Route) -> Route:
         """Atomically swing a live conference onto a new route.
@@ -346,29 +324,13 @@ class AdmissionController:
         untouched and the old route stays live.
         """
         old = self.route_of(conference_id)
-        new_ports = set(new_route.conference.members)
-        clash = (self._ports_in_use - old.conference.member_set) & new_ports
-        if clash:
-            self._trace_deny(conference_id, "ports")
-            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        cap = self._network.dilation
-        for link in new_route.links - old.links:
-            if self._loads[link] + 1 > cap:
-                self._trace_deny(conference_id, "capacity")
-                raise AdmissionDenied(
-                    "capacity", f"link {link} at load {self._loads[link]}/{cap}"
-                )
-        self._loads.subtract(old.links)
-        self._loads.update(new_route.links)
-        self._loads += Counter()  # drop zero/negative entries
-        self._routes[conference_id] = new_route
-        self._ports_in_use.difference_update(old.conference.members)
-        self._ports_in_use.update(new_ports)
+        added = new_route.links - old.links
+        self._book(conference_id, old, new_route, added)
         if self.tracer is not None:
             self.tracer.event(
                 "admission.replace",
                 cid=conference_id,
-                added=len(new_route.links - old.links),
+                added=len(added),
                 released=len(old.links - new_route.links),
             )
         return new_route
@@ -376,10 +338,9 @@ class AdmissionController:
     def apply_churn(self, churn: "ChurnResult") -> Route:
         """Apply a membership change as a delta against the ledger.
 
-        Unlike :meth:`replace_route`, which re-books the whole route,
-        only the exact ``links_added``/``links_removed`` diff touches
-        the ledger — a hitless in-block join charges nothing but its
-        graft.  Capacity is checked on the added links alone; on
+        The ledger moves by the exact ``links_added``/``links_removed``
+        diff — a hitless in-block join changes nothing but its graft.
+        Capacity is checked on the added links alone; on
         :class:`AdmissionDenied` the ledger is untouched and the old
         route stays live.  The result must have been computed against
         the currently live route (otherwise the diff is stale).
@@ -393,26 +354,7 @@ class AdmissionController:
                 f"stale churn result for conference {cid}: "
                 "not computed against the live route"
             )
-        joined = churn.after.conference.member_set - old.conference.member_set
-        clash = (self._ports_in_use - old.conference.member_set) & joined
-        if clash:
-            self._trace_deny(cid, "ports")
-            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
-        cap = self._network.dilation
-        for link in churn.links_added:
-            if self._loads[link] + 1 > cap:
-                self._trace_deny(cid, "capacity")
-                raise AdmissionDenied(
-                    "capacity", f"link {link} at load {self._loads[link]}/{cap}"
-                )
-        self._loads.update(churn.links_added)
-        self._loads.subtract(churn.links_removed)
-        self._loads += Counter()  # drop zero/negative entries
-        self._routes[cid] = churn.after
-        self._ports_in_use.difference_update(
-            old.conference.member_set - churn.after.conference.member_set
-        )
-        self._ports_in_use.update(joined)
+        self._book(cid, old, churn.after, churn.links_added)
         if self.tracer is not None:
             self.tracer.event(
                 "admission.churn",
@@ -426,13 +368,7 @@ class AdmissionController:
 
     def leave(self, conference_id: int) -> None:
         """Tear down a live conference, releasing its links."""
-        try:
-            route = self._routes.pop(conference_id)
-        except KeyError:
-            raise KeyError(f"no live conference with id {conference_id}") from None
-        self._loads.subtract(route.links)
-        self._loads += Counter()  # drop zero/negative entries
-        self._ports_in_use.difference_update(route.conference.members)
+        self._book(conference_id, self.route_of(conference_id), None)
         if self.tracer is not None:
             self.tracer.event("admission.leave", cid=conference_id)
 
@@ -442,3 +378,82 @@ class AdmissionController:
             self._network.n_ports,
             tuple(r.conference for r in self._routes.values()),
         )
+
+    # -- the one booking path ----------------------------------------------
+
+    def _book(
+        self,
+        cid: int,
+        old: "Route | None",
+        new: "Route | None",
+        added: "frozenset[Point] | None" = None,
+    ) -> None:
+        """Swing conference ``cid`` from ``old`` to ``new`` in the ledger.
+
+        ``old`` is its live route (None for an admission), ``new`` the
+        route taking its place (None for a leave).  A booking of ``new``
+        first checks port exclusivity, then capacity on ``added`` — the
+        links ``new`` holds that ``old`` did not (all of ``new``'s links
+        when omitted) — and raises :class:`AdmissionDenied` with the
+        ledger untouched on either failure.  Only then are ``old``'s
+        links released and ``new``'s charged.
+        """
+        if new is not None:
+            denial = self._port_denial(new.conference, old)
+            if denial is None:
+                denial = self._capacity_denial(new, added)
+            if denial is not None:
+                self._trace_deny(cid, denial.reason)
+                raise denial
+        if old is not None:
+            self._flat[old.link_index] -= 1
+            self._ports_in_use.difference_update(old.conference.members)
+        if new is None:
+            del self._routes[cid]
+        else:
+            self._flat[new.link_index] += 1
+            self._ports_in_use.update(new.conference.members)
+            self._routes[cid] = new
+
+    def _port_denial(
+        self, conference: Conference, old: "Route | None"
+    ) -> "AdmissionDenied | None":
+        """Why ``conference`` may not take the ports it asks for (or None).
+
+        A new admission (``old`` is None) needs an unused id and ports
+        no live conference holds; a route swap may keep ``old``'s ports.
+        """
+        in_use = self._ports_in_use
+        if old is None:
+            if conference.conference_id in self._routes:
+                return AdmissionDenied(
+                    "ports", f"conference id {conference.conference_id} already live"
+                )
+        else:
+            in_use = in_use - old.conference.member_set
+        clash = in_use.intersection(conference.members)
+        if clash:
+            return AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
+        return None
+
+    def _capacity_denial(
+        self, new: Route, added: "frozenset[Point] | None"
+    ) -> "AdmissionDenied | None":
+        """The first link of ``added`` (in iteration order) already at the
+        dilation, as a denial; None when every added link has room."""
+        if added is None:
+            added, index = new.links, new.link_index
+        else:
+            index = flat_link_index(added, self._ledger.shape[1])
+        cap = self._network.dilation
+        loads = self._flat[index]
+        full = np.flatnonzero(loads >= cap)
+        if not full.size:
+            return None
+        first = int(full[0])
+        link = next(islice(added, first, None))
+        return AdmissionDenied("capacity", f"link {link} at load {loads[first]}/{cap}")
+
+    def _trace_deny(self, cid: int, reason: str) -> None:
+        if self.tracer is not None:
+            self.tracer.event("admission.deny", cid=cid, reason=reason)

@@ -326,17 +326,19 @@ def stage_occupancy(
 
     Row 0 (the injection level) is always zero — injections are ports,
     not links — so the matrix aligns index-for-index with point
-    coordinates.  Agrees entry-wise with
-    :func:`~repro.core.conflict.link_loads` (the property suite checks
-    this against random batches).
+    coordinates.  Each route is charged through its cached
+    :attr:`~repro.core.routing.Route.link_index`, the same walk the
+    admission ledger (which holds this matrix live) uses.  Agrees
+    entry-wise with :func:`~repro.core.conflict.link_loads` (the
+    property suite checks this against random batches).
     """
-    loads = np.zeros((n_stages + 1, n_rows), dtype=np.int64)
+    loads = np.zeros((n_stages + 1) * n_rows, dtype=np.int64)
     for route in routes:
-        for t in range(1, len(route.levels)):
-            rows = list(route.levels[t])
-            if rows:
-                loads[t, rows] += 1
-    return loads
+        index = route.link_index
+        if route.n_ports != n_rows:  # re-stride onto the wider matrix
+            index = index // route.n_ports * n_rows + index % route.n_ports
+        loads[index] += 1
+    return loads.reshape(n_stages + 1, n_rows)
 
 
 def occupancy_words(loads: np.ndarray) -> tuple[int, ...]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.topology.network import MultistageNetwork, Point
+from repro.core.routing import LinkWalk
+from repro.topology.network import MultistageNetwork
 from repro.util.validation import check_ports
 
 __all__ = ["GroupConnection", "GroupRoute", "route_group"]
@@ -76,7 +77,7 @@ class GroupConnection:
 
 
 @dataclass(frozen=True)
-class GroupRoute:
+class GroupRoute(LinkWalk):
     """Realization of a group connection; interface-compatible with
     :class:`~repro.core.routing.Route` for conflict accounting."""
 
@@ -85,13 +86,6 @@ class GroupRoute:
     n_stages: int
     levels: tuple[dict[int, int], ...]
     taps: dict[int, int]
-
-    @property
-    def links(self) -> frozenset[Point]:
-        """Used inter-stage links (downstream-point identification)."""
-        return frozenset(
-            (t, r) for t, rows in enumerate(self.levels) if t >= 1 for r in rows
-        )
 
     # -- fabric adapter (shared with Route) ------------------------------
 
@@ -114,11 +108,6 @@ class GroupRoute:
     def exclusive_ports(self) -> frozenset[int]:
         """Ports this connection claims exclusively."""
         return self.connection.ports
-
-    @property
-    def n_links(self) -> int:
-        """Number of inter-stage links occupied."""
-        return sum(len(rows) for rows in self.levels[1:])
 
     @property
     def depth(self) -> int:

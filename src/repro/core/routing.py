@@ -32,8 +32,12 @@ property.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from repro.core.conference import Conference
 from repro.obs.metrics import timed
@@ -86,8 +90,54 @@ class RoutingPolicy:
         object.__setattr__(self, "tap_policy", TapPolicy(self.tap_policy))
 
 
+class LinkWalk:
+    """The cached link walk of a realized connection.
+
+    Shared by :class:`Route` and
+    :class:`~repro.core.groupcast.GroupRoute`; needs ``levels`` (per
+    level, ``row -> mask`` of used points) and ``n_ports``.  Walked once
+    per object and cached: routes are never mutated (churn and healing
+    build new ones).
+    """
+
+    @cached_property
+    def links(self) -> frozenset[Point]:
+        """Used inter-stage links, identified by their downstream point.
+
+        Level-0 points are network inputs, not links, so they are
+        excluded; these are the wires on which disjoint conferences can
+        collide.
+        """
+        return frozenset(
+            (t, r) for t, rows in enumerate(self.levels) if t >= 1 for r in rows
+        )
+
+    @cached_property
+    def link_index(self) -> np.ndarray:
+        """:attr:`links` as flat ``t * n_ports + r`` indices, in the
+        iteration order of :attr:`links` (read-only).
+
+        Indexes a stage-major ``(n_stages + 1, n_ports)`` load matrix
+        flattened row-major, which is how both the admission ledger and
+        :func:`~repro.core.batch.stage_occupancy` charge a route.
+        """
+        return flat_link_index(self.links, self.n_ports)
+
+    @property
+    def n_links(self) -> int:
+        """Number of inter-stage links the route occupies."""
+        return sum(len(rows) for rows in self.levels[1:])
+
+
+def flat_link_index(links: Iterable[Point], n_ports: int) -> np.ndarray:
+    """Flat ``t * n_ports + r`` indices of ``links``, in iteration order."""
+    index = np.fromiter((t * n_ports + r for t, r in links), dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
 @dataclass(frozen=True)
-class Route:
+class Route(LinkWalk):
     """The realization of one conference in a network.
 
     ``levels`` maps each level ``t`` to a dict ``row -> member bitmask``
@@ -107,23 +157,6 @@ class Route:
         return frozenset(
             (t, r) for t, rows in enumerate(self.levels) for r in rows
         )
-
-    @property
-    def links(self) -> frozenset[Point]:
-        """Used inter-stage links, identified by their downstream point.
-
-        Level-0 points are network inputs, not links, so they are
-        excluded; these are the wires on which disjoint conferences can
-        collide.
-        """
-        return frozenset(
-            (t, r) for t, rows in enumerate(self.levels) if t >= 1 for r in rows
-        )
-
-    @property
-    def n_links(self) -> int:
-        """Number of inter-stage links the route occupies."""
-        return sum(len(rows) for rows in self.levels[1:])
 
     @property
     def depth(self) -> int:
