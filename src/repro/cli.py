@@ -39,6 +39,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from repro import __version__
 from repro.analysis.cost import cost_table
 from repro.analysis.resilience import (
     availability_over_time,
@@ -75,18 +76,6 @@ def _ports_list(text: str) -> list[int]:
 
 def _floats_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
-
-
-def _version() -> str:
-    """Package version: installed metadata first, source tree fallback."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        return version("repro")
-    except PackageNotFoundError:
-        import repro
-
-        return getattr(repro, "__version__", "unknown")
 
 
 def _add_telemetry_flags(cmd: argparse.ArgumentParser) -> None:
@@ -309,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multistage conference switching networks (ICPP 2002 reproduction)",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

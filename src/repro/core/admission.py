@@ -423,13 +423,20 @@ class AdmissionController:
         A new admission (``old`` is None) needs an unused id and ports
         no live conference holds; a route swap may keep ``old``'s ports.
         """
+        if old is None and conference.conference_id in self._routes:
+            return AdmissionDenied(
+                "ports", f"conference id {conference.conference_id} already live"
+            )
+        return self._port_clash(conference, old)
+
+    def _port_clash(
+        self, conference: Conference, old: "Route | None" = None
+    ) -> "AdmissionDenied | None":
+        """The denial for ports of ``conference`` that another live
+        conference holds (None when there are none); ``old``'s own ports
+        do not clash with a route swap."""
         in_use = self._ports_in_use
-        if old is None:
-            if conference.conference_id in self._routes:
-                return AdmissionDenied(
-                    "ports", f"conference id {conference.conference_id} already live"
-                )
-        else:
+        if old is not None:
             in_use = in_use - old.conference.member_set
         clash = in_use.intersection(conference.members)
         if clash:

@@ -19,20 +19,21 @@ order-sensitive decision (admission capacity messages, the worst-case
 search's ``max(loads.items())`` target pick) — are indistinguishable
 from the per-object path.  The differential grid in
 ``tests/core/test_batch_differential.py`` holds the kernel against
-:func:`~repro.core.routing.route_conference` (the per-object oracle the
-kernel replaced) across topologies, policies, fault sets and batch
-shapes.
+:func:`~repro.core.routing.route_conference_sequential` (the per-object
+oracle the kernel replaced) across topologies, policies, fault sets,
+pinned taps and batch shapes.
 
-Two inputs fall back to the sequential path per conference, with
-identical outcomes: conferences of more than :data:`MAX_KERNEL_MEMBERS`
-members (their masks overflow the int64 columns) and any batch routed
-under ``policy.prune=True`` (the greedy ablation is inherently
-sequential).
+Churn routes through it too: :func:`~repro.core.churn.extend_route`
+passes the continuing members' taps as ``pins``.  Two inputs fall back
+to the sequential path per conference (pins included), with identical
+outcomes: conferences of more than :data:`MAX_KERNEL_MEMBERS` members
+(their masks overflow the int64 columns) and any batch routed under
+``policy.prune=True`` (the greedy ablation is inherently sequential).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,8 @@ def route_batch(
     conferences: "Sequence[Conference] | Iterable[Conference]",
     policy: "RoutingPolicy | None" = None,
     faults: "frozenset | None" = None,
+    *,
+    pins: "Sequence[Mapping[int, int] | None] | None" = None,
 ) -> list[BatchRouteOutcome]:
     """Route every conference of a batch; order is preserved.
 
@@ -108,12 +111,25 @@ def route_batch(
     result.  Failures (``UnroutableError`` under faults, ``ValueError``
     for out-of-range members) are captured per conference instead of
     aborting the batch.
+
+    ``pins`` gives each conference ``{port: level}`` taps to keep (or
+    ``None``): a pin replaces the member's natural tap when the full
+    combination reaches the pinned point.  Pins never change whether a
+    conference is routable.
     """
     policy = policy or RoutingPolicy()
     dead = frozenset(faults) if faults else frozenset()
     confs = list(conferences)
+    pins = [None] * len(confs) if pins is None else list(pins)
+    if len(pins) != len(confs):
+        raise ValueError(f"got {len(pins)} pin maps for {len(confs)} conferences")
+    if any(not 0 <= t <= net.n_stages for pin_map in pins if pin_map for t in pin_map.values()):
+        raise ValueError(f"pinned tap levels must lie in 0..{net.n_stages}")
     if policy.prune:
-        return [_route_one(net, conf, policy, dead) for conf in confs]
+        return [
+            _route_one(net, conf, policy, dead, pin_map)
+            for conf, pin_map in zip(confs, pins)
+        ]
     outcomes: "list[BatchRouteOutcome | None]" = [None] * len(confs)
     kernel_idx: list[int] = []
     for i, conf in enumerate(confs):
@@ -126,19 +142,24 @@ def route_batch(
                 ),
             )
         elif len(conf.members) > MAX_KERNEL_MEMBERS:
-            outcomes[i] = _route_one(net, conf, policy, dead)
+            outcomes[i] = _route_one(net, conf, policy, dead, pins[i])
         else:
             kernel_idx.append(i)
     chunk = max(1, _MAX_CELLS // net.n_ports)
     for start in range(0, len(kernel_idx), chunk):
         part = kernel_idx[start : start + chunk]
-        for i, outcome in zip(part, _kernel(net, [confs[i] for i in part], policy, dead)):
+        routed = _kernel(net, [confs[i] for i in part], policy, dead, [pins[i] for i in part])
+        for i, outcome in zip(part, routed):
             outcomes[i] = outcome
     return outcomes  # type: ignore[return-value]
 
 
 def _route_one(
-    net: MultistageNetwork, conf: Conference, policy: RoutingPolicy, dead: frozenset
+    net: MultistageNetwork,
+    conf: Conference,
+    policy: RoutingPolicy,
+    dead: frozenset,
+    pins: "Mapping[int, int] | None",
 ) -> BatchRouteOutcome:
     """The sequential walk wrapped in a per-conference outcome.
 
@@ -147,10 +168,8 @@ def _route_one(
     batch of one, so routing through it again would recurse.
     """
     try:
-        return BatchRouteOutcome(
-            conf,
-            route=route_conference_sequential(net, conf, policy, faults=dead or None),
-        )
+        route = route_conference_sequential(net, conf, policy, faults=dead or None, pins=pins)
+        return BatchRouteOutcome(conf, route=route)
     except ValueError as exc:  # UnroutableError is a ValueError subclass
         return BatchRouteOutcome(conf, error=exc)
 
@@ -172,6 +191,7 @@ def _kernel(
     confs: list[Conference],
     policy: RoutingPolicy,
     dead: frozenset,
+    pins: "list[Mapping[int, int] | None]",
 ) -> list[BatchRouteOutcome]:
     """The columnar forward/tap/backward sweep over one chunk."""
     n_rows, n_stages, radix = net.n_ports, net.n_stages, net.radix
@@ -219,6 +239,15 @@ def _kernel(
     else:
         member_ok = ok.any(axis=0)
         taps_of_member = ok.argmax(axis=0)
+    if any(pins):
+        # A pin (-1: none) replaces the tap where the full mask reaches it.
+        pinned = np.fromiter(
+            (m.get(p, -1) if m else -1 for m, mem in zip(pins, member_lists) for p in mem),
+            dtype=np.int64,
+            count=total,
+        )
+        held = (pinned >= 0) & ok[pinned, np.arange(total)]
+        taps_of_member = np.where(held, pinned, taps_of_member)
     routable = np.logical_and.reduceat(member_ok, offsets[:-1])
     # First failing member per conference, in member order (the sequential
     # loop raises at exactly that member).

@@ -23,6 +23,11 @@ conflict opportunities against other conferences, hence
 "conflict-multiplicity drift"), and ``drift_limit`` demotes the change
 to a full re-route-from-scratch when it grows past the knob.
 
+Pinned routes are kernel routes: one :func:`repro.core.batch.route_batch`
+call routes the grown conference with the old taps as ``pins`` and,
+in the same sweep, without them — the natural route drift is measured
+against.
+
 :func:`prune_route` re-taps every survivor at the earliest level where
 the remaining combination is complete, releasing the links that served
 only the leaver (and reclaiming depth the leaver forced).  An in-block
@@ -44,16 +49,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.core import batch
 from repro.core.conference import Conference
-from repro.core.routing import (
-    Route,
-    RoutingPolicy,
-    route_conference,
-    _backward_mark,
-    _carried_masks,
-    _forward_masks,
-    _select_taps,
-)
+from repro.core.routing import Route, RoutingPolicy, route_conference
 from repro.topology.network import MultistageNetwork, Point
 
 __all__ = [
@@ -220,70 +218,6 @@ def _diff(
     )
 
 
-def _pinned_route(
-    net: MultistageNetwork,
-    conference: Conference,
-    pins: dict[int, int],
-    policy: RoutingPolicy,
-    dead: frozenset,
-) -> tuple[Route, int]:
-    """Route ``conference`` keeping each pinned tap that still works.
-
-    A pin survives when the *full* new combination is forward-reachable
-    at the pinned point; everyone else (and every new member) taps at
-    the natural earliest level.  Returns the route and its drift: how
-    many more links it holds than the natural (unpinned) routing of the
-    same members under the same faults.
-    """
-    forward = _forward_masks(net, conference, dead)
-    natural = _select_taps(forward, conference, policy, net.n_stages)
-    full = conference.full_mask
-    taps: dict[int, int] = {}
-    for port in conference.members:
-        pin = pins.get(port)
-        if (
-            pin is not None
-            and pin != natural[port]
-            and forward[pin].get(port, 0) == full
-        ):
-            taps[port] = pin
-        else:
-            taps[port] = natural[port]
-    marked = _backward_mark(net, taps, net.n_stages, dead)
-    levels = [
-        {row: mask for row, mask in forward[t].items() if row in marked[t]}
-        for t in range(net.n_stages + 1)
-    ]
-    levels = _carried_masks(net, conference, levels)
-    route = Route(
-        conference=conference,
-        n_ports=net.n_ports,
-        n_stages=net.n_stages,
-        levels=tuple(levels),
-        taps=taps,
-    )
-    bad = {port for port, t in taps.items() if route.mask_at(t, port) != full}
-    if bad:
-        raise AssertionError(
-            f"churn invariant violated: taps {sorted(bad)} missing members "
-            f"(topology {net.name})"
-        )
-    drift = 0
-    if taps != natural:
-        # Natural-route link count without building the route: within the
-        # backward-marked region the carried mask equals the forward mask,
-        # so forward ∧ marked counts it exactly.
-        nat_marked = _backward_mark(net, natural, net.n_stages, dead)
-        nat_links = sum(
-            1
-            for t in range(1, net.n_stages + 1)
-            for row in forward[t]
-            if row in nat_marked[t]
-        )
-        drift = route.n_links - nat_links
-    return route, drift
-
-
 def _checked(
     net: MultistageNetwork,
     route: Route,
@@ -399,10 +333,25 @@ def extend_route(
         # The greedy-pruning ablation has no incremental form: pruned
         # regions are not pin-stable, so churn on them is a reroute.
         return _full_reroute(net, route, members, policy, faults, reason="prune-policy")
-    dead = frozenset(faults) if faults else frozenset()
     new_conf = Conference.of(members, conference_id=conference.conference_id)
-    after, drift = _pinned_route(net, new_conf, dict(route.taps), policy, dead)
-    result = _diff(route, after, mode="incremental", drift_links=drift)
+    # One kernel call routes the grown conference twice: pinned to the
+    # continuing members' taps, and naturally (the drift reference).
+    after, natural = (
+        outcome.unwrap()
+        for outcome in batch.route_batch(
+            net, [new_conf, new_conf], policy, faults, pins=[route.taps, None]
+        )
+    )
+    full = new_conf.full_mask
+    bad = {p for p, t in after.taps.items() if after.mask_at(t, p) != full}
+    if bad:
+        raise AssertionError(
+            f"churn invariant violated: taps {sorted(bad)} missing members "
+            f"(topology {net.name})"
+        )
+    result = _diff(
+        route, after, mode="incremental", drift_links=after.n_links - natural.n_links
+    )
     return _checked(
         net, route, members, policy, faults, result,
         max_taps_moved, drift_limit, fallback,
@@ -441,11 +390,10 @@ def prune_route(
         raise ValueError("cannot remove the last member; tear the conference down instead")
     if policy.prune:
         return _full_reroute(net, route, remaining, policy, faults, reason="prune-policy")
-    dead = frozenset(faults) if faults else frozenset()
     new_conf = Conference.of(remaining, conference_id=conference.conference_id)
     # No pins: survivors re-tap naturally, so drift never survives a leave.
-    after, drift = _pinned_route(net, new_conf, {}, policy, dead)
-    result = _diff(route, after, mode="incremental", drift_links=drift)
+    after = batch.route_batch(net, [new_conf], policy, faults)[0].unwrap()
+    result = _diff(route, after, mode="incremental")
     return _checked(
         net, route, remaining, policy, faults, result,
         max_taps_moved, drift_limit, fallback,

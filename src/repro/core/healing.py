@@ -294,7 +294,7 @@ class SelfHealingController:
         # Routes precomputed by the columnar kernel for an imminent
         # sequential walk, keyed ``(members, fault set)`` and consumed
         # (popped) by ``_route`` — see ``prime_batch``.
-        self._primed: dict[tuple, "tuple | UnroutableError"] = {}
+        self._primed: dict[tuple, "Route | UnroutableError"] = {}
         self._faults: set[Point] = set()
         self._healthy: dict[int, Route] = {}  # cid -> fault-free reference route
         self._degraded: set[int] = set()
@@ -379,14 +379,7 @@ class SelfHealingController:
             if entry is not None:
                 if isinstance(entry, UnroutableError):
                     raise UnroutableError(*entry.args)
-                levels, taps = entry
-                return Route(
-                    conference=conference,
-                    n_ports=self._network.topology.n_ports,
-                    n_stages=self._network.topology.n_stages,
-                    levels=levels,
-                    taps=taps,
-                )
+                return entry._serving(conference)
         return self._network.route(conference, faults=faults or None)
 
     def prime_batch(
@@ -435,7 +428,7 @@ class SelfHealingController:
             )
             for key, outcome in zip(todo, outcomes):
                 if outcome.ok:
-                    self._primed[key] = (outcome.route.levels, dict(outcome.route.taps))
+                    self._primed[key] = outcome.route
                 elif isinstance(outcome.error, UnroutableError):
                     self._primed[key] = UnroutableError(*outcome.error.args)
                 # Out-of-range members: not primeable — the sequential
@@ -530,9 +523,11 @@ class SelfHealingController:
         return outcomes
 
     def _admit(self, conference: Conference) -> Route:
-        clash = self._inner.ports_in_use & conference.member_set
-        if clash:
-            raise AdmissionDenied("ports", f"ports {sorted(clash)} already in a conference")
+        # Port clashes are denied before routing; the ledger re-checks
+        # the id and ports when it books the route.
+        denial = self._inner._port_clash(conference)
+        if denial is not None:
+            raise denial
         faults = frozenset(self._faults)
         try:
             route = self._route(conference, faults)

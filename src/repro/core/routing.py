@@ -32,8 +32,8 @@ property.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -192,6 +192,19 @@ class Route(LinkWalk):
         """Ports this connection claims exclusively."""
         return self.conference.member_set
 
+    def _serving(self, conference: Conference) -> "Route":
+        """This route as the route of ``conference`` (same members).
+
+        A memoized route serves every conference with its member set,
+        whatever its id: the match is returned as is, any other id gets
+        a copy that shares this route's link walk instead of redoing it.
+        """
+        if conference == self.conference:
+            return self
+        copy = replace(self, conference=conference)
+        copy.__dict__.update(links=self.links, link_index=self.link_index)
+        return copy
+
     def mask_at(self, level: int, row: int) -> int:
         """Member bitmask carried at ``(level, row)`` (0 when unused)."""
         return self.levels[level].get(row, 0)
@@ -301,19 +314,7 @@ def delivered_members(
     full combination to every member.  Returns ``port -> mask at its
     tap``.
     """
-    tab = net.successor_table
-    cur = {port: 1 << idx for idx, port in enumerate(conference.members) if port in levels[0]}
-    carried: list[dict[int, int]] = [cur]
-    for s in range(net.n_stages):
-        used_next = levels[s + 1]
-        nxt: dict[int, int] = {}
-        for row, mask in cur.items():
-            for side in range(tab.shape[2]):
-                r2 = int(tab[s, row, side])
-                if r2 in used_next:
-                    nxt[r2] = nxt.get(r2, 0) | mask
-        carried.append(nxt)
-        cur = nxt
+    carried = _carried_masks(net, conference, levels)
     return {port: carried[t].get(port, 0) for port, t in taps.items()}
 
 
@@ -386,6 +387,8 @@ def route_conference_sequential(
     conference: Conference,
     policy: "RoutingPolicy | None" = None,
     faults: "frozenset | None" = None,
+    *,
+    pins: "Mapping[int, int] | None" = None,
 ) -> Route:
     """The sequential reference implementation of :func:`route_conference`.
 
@@ -395,6 +398,7 @@ def route_conference_sequential(
     oracle the differential tests compare it against, and the engine
     for the kernel's fallback cases (``prune=True``, conferences past
     the 63-member bitmask bound).
+    ``pins`` are taps to keep, as in :func:`repro.core.batch.route_batch`.
     """
     policy = policy or RoutingPolicy()
     dead = frozenset(faults) if faults else frozenset()
@@ -405,6 +409,9 @@ def route_conference_sequential(
         )
     forward = _forward_masks(net, conference, dead)
     taps = _select_taps(forward, conference, policy, net.n_stages)
+    for port, pin in (pins or {}).items():
+        if port in taps and forward[pin].get(port, 0) == conference.full_mask:
+            taps[port] = pin
     marked = _backward_mark(net, taps, net.n_stages, dead)
     levels = [
         {row: mask for row, mask in forward[t].items() if row in marked[t]}

@@ -14,9 +14,11 @@ memoizes exactly that function.  Two design points matter:
   This guards the self-healing controller against stale-route reuse.
 * **Routes are cached by membership, not identity.**  The geometry of a
   route depends only on the member ports; the conference id is a label.
-  Entries store ``(levels, taps)`` and the cache re-wraps them around
-  the requesting conference, so a cache warmed by one workload serves
-  later conferences with the same members but different ids.
+  Entries store the routed :class:`~repro.core.routing.Route`: a hit
+  for the same conference returns it as is, and a hit for another id
+  gets a copy around the requesting conference that shares the stored
+  link walk, so a cache warmed by one workload serves later conferences
+  with the same members but different ids without re-walking links.
 
 ``shared_network`` / ``shared_route_cache`` are the per-process
 registry: a worker of the parallel engine builds each topology (and its
@@ -121,7 +123,7 @@ class RouteCache:
         self._network = network
         self._policy = policy or RoutingPolicy()
         self._maxsize = maxsize
-        self._entries: "OrderedDict[tuple, tuple | UnroutableError]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, Route | UnroutableError]" = OrderedDict()
         self._faults: frozenset[Point] = _NO_FAULTS
         self.stats = CacheStats()
         # Observation only (duck-typed repro.obs.trace.Tracer): lookups
@@ -205,14 +207,7 @@ class RouteCache:
                 )
             if isinstance(entry, UnroutableError):
                 raise UnroutableError(*entry.args)
-            levels, taps = entry
-            return Route(
-                conference=conference,
-                n_ports=self._network.n_ports,
-                n_stages=self._network.n_stages,
-                levels=levels,
-                taps=taps,
-            )
+            return entry._serving(conference)
         self.stats.misses += 1
         if self.tracer is not None:
             self.tracer.event(
@@ -226,7 +221,7 @@ class RouteCache:
             self._store(key, UnroutableError(*exc.args))
             self.stats.unroutable += 1
             raise
-        self._store(key, (route.levels, dict(route.taps)))
+        self._store(key, route)
         return route
 
     def prime(
@@ -266,7 +261,7 @@ class RouteCache:
         stored = 0
         for key, outcome in zip(todo, outcomes):
             if outcome.ok:
-                self._store(key, (outcome.route.levels, dict(outcome.route.taps)))
+                self._store(key, outcome.route)
             elif isinstance(outcome.error, UnroutableError):
                 self._store(key, UnroutableError(*outcome.error.args))
             else:
@@ -276,7 +271,7 @@ class RouteCache:
             stored += 1
         return stored
 
-    def _store(self, key: tuple, entry: "tuple | UnroutableError") -> None:
+    def _store(self, key: tuple, entry: "Route | UnroutableError") -> None:
         self._entries[key] = entry
         if len(self._entries) > self._maxsize:
             self._entries.popitem(last=False)
@@ -299,13 +294,8 @@ class RouteCache:
             return 0
         doomed = []
         for key, entry in self._entries.items():
-            if isinstance(entry, UnroutableError):
-                continue
-            levels, _taps = entry
-            if any(
-                (t, row) in touched
-                for t in range(1, len(levels))
-                for row in levels[t]
+            if not isinstance(entry, UnroutableError) and not touched.isdisjoint(
+                entry.links
             ):
                 doomed.append(key)
         for key in doomed:

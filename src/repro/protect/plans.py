@@ -115,10 +115,9 @@ class PlanStats:
 class BackupPlan:
     """One precomputed failover routing for ``(conference, point)``.
 
-    ``entry`` is either a ``(levels, taps)`` route body — the same
-    storage shape the route cache uses — or an :class:`UnroutableError`
-    recording that the conference cannot survive ``point``'s death (a
-    negative plan).  ``base_faults`` is the fault set in force when the
+    ``entry`` is either a ``(levels, taps)`` route body or an
+    :class:`UnroutableError` recording that the conference cannot
+    survive ``point``'s death (a negative plan).  ``base_faults`` is the fault set in force when the
     plan was cut; the plan covers exactly the fault set
     ``base_faults | {point}`` and no other.
     """

@@ -56,7 +56,7 @@ def random_batch(n_ports, rng, size, max_members=6):
     return batch
 
 
-def sequential_outcomes(net, batch, policy=None, faults=None):
+def sequential_outcomes(net, batch, policy=None, faults=None, pins=None):
     """The per-object oracle: one sequential-walk call at a time.
 
     Uses ``route_conference_sequential`` directly — the public
@@ -65,10 +65,13 @@ def sequential_outcomes(net, batch, policy=None, faults=None):
     """
     policy = policy or RoutingPolicy()
     dead = frozenset(faults or ())
+    pins = pins or [None] * len(batch)
     out = []
-    for conf in batch:
+    for conf, pin_map in zip(batch, pins):
         try:
-            route = route_conference_sequential(net, conf, policy, faults=dead or None)
+            route = route_conference_sequential(
+                net, conf, policy, faults=dead or None, pins=pin_map
+            )
             out.append(BatchRouteOutcome(conf, route=route))
         except ValueError as exc:  # UnroutableError is a ValueError subclass
             out.append(BatchRouteOutcome(conf, error=exc))
@@ -212,6 +215,128 @@ class TestRouteBatchGrid:
     def test_empty_batch(self):
         net = build("omega", 16)
         assert route_batch(net, []) == []
+
+
+def random_pins(net, batch, rng, faults=None):
+    """Per-conference pin maps on a random member subset.
+
+    Half the pins are drawn at or after the member's earliest complete
+    level (held unless that is already its tap), half anywhere (mostly
+    not held); about one conference in four has no pins at all.
+    """
+    earliest = route_batch(net, batch, faults=faults)
+    pins = []
+    for conf, outcome in zip(batch, earliest):
+        if rng.random() < 0.25:
+            pins.append(None)
+            continue
+        pin_map = {}
+        for port in conf.members:
+            if rng.random() < 0.4:
+                continue
+            low = outcome.route.taps[port] if outcome.ok and rng.random() < 0.5 else 0
+            pin_map[port] = int(rng.integers(low, net.n_stages + 1))
+        pins.append(pin_map)
+    return pins
+
+
+def pinned_cell(topology, tap, faulty):
+    """One cell of the pins grid: network, policy, faults, batch, pins."""
+    net = build(topology, 16)
+    rng = ensure_rng(31)
+    faults = None
+    if faulty:
+        faults = frozenset(
+            (int(rng.integers(1, net.n_stages + 1)), int(rng.integers(net.n_ports)))
+            for _ in range(3)
+        )
+    batch = random_batch(16, rng, size=40)
+    return net, RoutingPolicy(tap_policy=tap), faults, batch, random_pins(net, batch, rng, faults)
+
+
+def reaches_all(net, members, level, row):
+    """Whether every member's input reaches point ``(level, row)``."""
+    rows = {row}
+    for t in range(level, 0, -1):
+        rows = {int(r) for r in net.predecessor_table[t - 1, sorted(rows)].reshape(-1)}
+    return set(members) <= rows
+
+
+class TestPinnedRouteGrid:
+    """The pins axis: the kernel's pin rule against the oracle's."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("tap", ["earliest", "final"])
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_pins_match_sequential(self, topology, tap, faulty):
+        net, policy, faults, batch, pins = pinned_cell(topology, tap, faulty)
+        assert_outcomes_identical(
+            route_batch(net, batch, policy, faults, pins=pins),
+            sequential_outcomes(net, batch, policy, faults, pins=pins),
+        )
+
+    @pytest.mark.parametrize("tap", ["earliest", "final"])
+    def test_grid_reaches_held_pins(self, tap):
+        """Held pins (a tap other than the natural one) occur in the grid
+        on every topology, not only the natural branch — except baseline
+        under final taps, where no row of these batches is complete
+        before the last stage.  Banyans hold few: past its earliest
+        complete level a row rarely stays complete."""
+        for topology in TOPOLOGIES:
+            held = 0
+            for faulty in (False, True):
+                net, policy, faults, batch, pins = pinned_cell(topology, tap, faulty)
+                pinned = route_batch(net, batch, policy, faults, pins=pins)
+                natural = route_batch(net, batch, policy, faults)
+                held += sum(
+                    got.ok and got.route.taps != nat.route.taps
+                    for got, nat in zip(pinned, natural)
+                )
+            assert held > 0 or (topology, tap) == ("baseline", "final")
+
+    def test_oversized_pinned_conference_falls_back_with_the_same_rule(self):
+        """A >63-member conference takes the sequential fallback; its taps
+        must follow the pin rule the kernel grid checks, recomputed here
+        from the wiring alone: a pin holds when every member's input
+        reaches the pinned point."""
+        net = build("extra-stage-cube", 128)
+        big = Conference.of(range(0, 2 * (MAX_KERNEL_MEMBERS + 1), 2), 0)
+        rng = ensure_rng(12)
+        pins = {port: int(rng.integers(0, net.n_stages + 1)) for port in big.members}
+        natural = route_batch(net, [big])[0].unwrap()
+        batched = route_batch(net, [big, Conference.of([1, 3, 9], 1)], pins=[pins, None])
+        expected = {
+            port: pins[port] if reaches_all(net, big.members, pins[port], port)
+            else natural.taps[port]
+            for port in big.members
+        }
+        assert batched[0].route.taps == expected
+        assert batched[0].route.taps != natural.taps
+        assert_outcomes_identical(
+            batched, sequential_outcomes(net, [c.conference for c in batched], pins=[pins, None])
+        )
+
+    def test_pins_under_prune_policy(self):
+        net = build("indirect-binary-cube", 16)
+        policy = RoutingPolicy(prune=True)
+        rng = ensure_rng(8)
+        batch = random_batch(16, rng, size=8)
+        pins = random_pins(net, batch, rng)
+        assert_outcomes_identical(
+            route_batch(net, batch, policy, pins=pins),
+            sequential_outcomes(net, batch, policy, pins=pins),
+        )
+
+    def test_pin_map_count_must_match(self):
+        net = build("omega", 16)
+        with pytest.raises(ValueError, match="pin maps"):
+            route_batch(net, [Conference.of([0, 1])], pins=[None, None])
+
+    @pytest.mark.parametrize("level", [-1, 5])
+    def test_out_of_range_pin_level_rejected(self, level):
+        net = build("omega", 16)
+        with pytest.raises(ValueError, match="pinned tap levels"):
+            route_batch(net, [Conference.of([0, 1])], pins=[{0: level}])
 
 
 class TestConflictEquality:

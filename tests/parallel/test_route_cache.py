@@ -32,7 +32,7 @@ fault_sets = st.sets(st.sampled_from(FAULT_POINTS), max_size=3)
 
 # One shared cache across examples on purpose: later examples hit
 # entries written by earlier ones, so the equality check below covers
-# the rebuild-from-(levels, taps) path, not just fresh misses.
+# the stored-route hit path, not just fresh misses.
 SHARED = RouteCache(NET, POLICY)
 
 
@@ -324,3 +324,40 @@ class TestBatchPriming:
         # to the one a cold per-object lookup computes.
         assert repr(primed.route(conference)) == repr(lazy.route(conference))
         assert primed.stats.misses == 0
+
+
+class TestStoredRoutes:
+    """Hits serve the stored route: the link walk is computed once."""
+
+    def test_two_hits_share_one_link_index(self):
+        cache = RouteCache(NET)
+        conference = Conference.of([1, 2, 6], 4)
+        first = cache.route(conference)
+        again = cache.route(conference)
+        other_id = cache.route(Conference.of([1, 2, 6], 9))
+        assert again is first
+        assert again.link_index is first.link_index
+        # Another id gets its own conference but the same walk.
+        assert other_id.conference.conference_id == 9
+        assert other_id.link_index is first.link_index
+        assert other_id.links is first.links
+        assert repr(other_id) == repr(route_conference(NET, Conference.of([1, 2, 6], 9)))
+        assert cache.stats.hits == 2
+
+    def test_primed_hits_share_one_link_index(self):
+        cache = RouteCache(NET)
+        cache.prime([Conference.of([0, 5, 7], 1)])
+        a = cache.route(Conference.of([0, 5, 7], 2))
+        b = cache.route(Conference.of([0, 5, 7], 3))
+        assert a.link_index is b.link_index
+        assert (a.conference.conference_id, b.conference.conference_id) == (2, 3)
+
+    def test_invalidate_links_reads_the_stored_walk(self):
+        cache = RouteCache(NET)
+        route = cache.route(Conference.of([0, 5, 7]))
+        kept = cache.route(Conference.of([8, 9]))
+        assert not route.links & kept.links
+        assert cache.invalidate_links([next(iter(route.links))]) == 1
+        assert len(cache) == 1
+        cache.route(Conference.of([8, 9]))
+        assert cache.stats.hits == 1

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -21,8 +22,20 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        assert out.startswith("conference-net ")
-        assert any(ch.isdigit() for ch in out)
+        assert out == f"conference-net {repro.__version__}\n"
+
+    def test_version_has_one_source(self):
+        """pyproject reads the version from the package, never a copy."""
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
 
 
 class TestCommands:
