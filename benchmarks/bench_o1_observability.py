@@ -6,11 +6,14 @@ reports — asserted here before any timing counts) and cheap (turning
 the live health additions — SLO evaluator, flight recorder ring, and
 a live scrape endpoint — on over the existing tracer + metrics
 telemetry costs less than :data:`OVERHEAD_TARGET` of admission
-throughput).
+throughput).  The telemetry itself is measured against the bare run
+too: tracer + metrics cost less than :data:`TELEMETRY_TARGET` over no
+observability at all, with :data:`TELEMETRY_CEIL` as the asserted
+ceiling.
 
 Three arms run the same seeded churn-with-faults workload:
 
-* ``bare`` — no observability at all (context only);
+* ``bare`` — no observability at all;
 * ``telemetry`` — tracer + metrics registry (the pre-existing stack);
 * ``live`` — telemetry plus SLO evaluator, flight recorder and a
   running exposition endpoint.
@@ -52,6 +55,12 @@ REPS = 6
 #: ceiling so machine jitter cannot fail CI.
 OVERHEAD_TARGET = 0.05
 OVERHEAD_CEIL = 0.25
+#: Telemetry (tracer + metrics) against the bare run.  Set from the
+#: measurement after per-stage occupancy telemetry became one bulk
+#: histogram add per stage: +20% to +40% on a 2-CPU host (the per-link
+#: loop before it cost +85%).  The ceiling is the asserted bound.
+TELEMETRY_TARGET = 0.40
+TELEMETRY_CEIL = 0.75
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_o1.json"
 
 WORKLOAD = dict(
@@ -138,6 +147,7 @@ def write_artifacts():
 
     admitted = reports["bare"].service["admitted"]
     overhead = walls["live"] / walls["telemetry"] - 1.0
+    telemetry_vs_bare = walls["telemetry"] / walls["bare"] - 1.0
     rows = [
         {
             "arm": arm,
@@ -152,7 +162,9 @@ def write_artifacts():
         rows,
         title=(
             f"O1: live health stack overhead (N={N_PORTS}; live vs telemetry "
-            f"{overhead * 100:+.1f}% against a {OVERHEAD_TARGET * 100:.0f}% budget)"
+            f"{overhead * 100:+.1f}% against a {OVERHEAD_TARGET * 100:.0f}% budget, "
+            f"telemetry vs bare {telemetry_vs_bare * 100:+.1f}% against "
+            f"{TELEMETRY_TARGET * 100:.0f}%)"
         ),
     )
     payload = {
@@ -169,13 +181,17 @@ def write_artifacts():
         "admission_throughput_overhead": overhead,
         "overhead_target": OVERHEAD_TARGET,
         "meets_target": overhead <= OVERHEAD_TARGET,
+        "telemetry_vs_bare": telemetry_vs_bare,
+        "telemetry_target": TELEMETRY_TARGET,
+        "meets_telemetry_target": telemetry_vs_bare <= TELEMETRY_TARGET,
         "bit_transparent": True,
         "slo_state": slo.state,
         "flight_events_seen": flight.seen,
         "note": (
-            "overhead = live wall over telemetry wall - 1, best of "
-            f"{REPS} interleaved reps each; report equality across all "
-            "three arms is asserted before timing counts"
+            "overhead = live wall over telemetry wall - 1, telemetry_vs_bare "
+            f"= telemetry wall over bare wall - 1, best of {REPS} interleaved "
+            "reps each; report equality across all three arms is asserted "
+            "before timing counts"
         ),
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -183,6 +199,11 @@ def write_artifacts():
         f"live health stack cost {overhead * 100:.1f}% of admission "
         f"throughput — above the {OVERHEAD_CEIL * 100:.0f}% ceiling "
         f"(budget {OVERHEAD_TARGET * 100:.0f}%)"
+    )
+    assert telemetry_vs_bare <= TELEMETRY_CEIL, (
+        f"tracer + metrics cost {telemetry_vs_bare * 100:.1f}% over the bare "
+        f"run — above the {TELEMETRY_CEIL * 100:.0f}% ceiling "
+        f"(target {TELEMETRY_TARGET * 100:.0f}%)"
     )
     return payload
 

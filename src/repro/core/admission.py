@@ -238,11 +238,11 @@ class AdmissionController:
     def stage_loads(self) -> dict[int, list[int]]:
         """Nonzero channel loads per entering level, in row order.
 
-        The raw material of the per-stage link-occupancy telemetry: key
-        ``t`` lists the load of every occupied link entering level
+        Key ``t`` lists the load of every occupied link entering level
         ``t``, so ``max`` of a value is the *observed* conflict
         multiplicity at that stage — the paper's headline quantity,
-        live.
+        live.  These are the values the per-stage link-occupancy
+        telemetry records (it reads them off the ledger as arrays).
         """
         return {
             level: loads[loads > 0].tolist()

@@ -24,16 +24,24 @@ oracle the kernel replaced) across topologies, policies, fault sets,
 pinned taps and batch shapes.
 
 Churn routes through it too: :func:`~repro.core.churn.extend_route`
-passes the continuing members' taps as ``pins``.  Two inputs fall back
-to the sequential path per conference (pins included), with identical
-outcomes: conferences of more than :data:`MAX_KERNEL_MEMBERS` members
-(their masks overflow the int64 columns) and any batch routed under
-``policy.prune=True`` (the greedy ablation is inherently sequential).
+passes the continuing members' taps as ``pins``.  ``faults`` may give
+each conference its own fault set: the backup-plan sweep of
+:class:`~repro.core.healing.SelfHealingController` routes every
+``(conference, faults | {point})`` plan in one call that way.  Dead
+points become ``(conference, row)`` cells per level — a shared set is
+broadcast to every conference — and one masking path zeroes them in
+the forward and backward passes.  Two inputs fall back to the
+sequential path per conference (pins and own fault set included), with
+identical outcomes: conferences of more than
+:data:`MAX_KERNEL_MEMBERS` members (their masks overflow the int64
+columns) and any batch routed under ``policy.prune=True`` (the greedy
+ablation is inherently sequential).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +76,8 @@ MAX_KERNEL_MEMBERS = 63
 #: larger batches are routed in chunks so memory stays flat.
 _MAX_CELLS = 1 << 18
 
+_NO_FAULTS: frozenset = frozenset()
+
 @dataclass(frozen=True)
 class BatchRouteOutcome:
     """One conference's result within a :func:`route_batch` call.
@@ -98,7 +108,7 @@ def route_batch(
     net: MultistageNetwork,
     conferences: "Sequence[Conference] | Iterable[Conference]",
     policy: "RoutingPolicy | None" = None,
-    faults: "frozenset | None" = None,
+    faults: "frozenset | Sequence[frozenset | None] | None" = None,
     *,
     pins: "Sequence[Mapping[int, int] | None] | None" = None,
 ) -> list[BatchRouteOutcome]:
@@ -112,14 +122,19 @@ def route_batch(
     for out-of-range members) are captured per conference instead of
     aborting the batch.
 
+    ``faults`` is one set of dead points shared by the whole batch, or
+    a sequence with one fault set (or ``None``) per conference, the
+    same shape as ``pins``: conference ``i`` is then routed exactly as
+    ``route_conference(net, conf_i, policy, faults_i)``.
+
     ``pins`` gives each conference ``{port: level}`` taps to keep (or
     ``None``): a pin replaces the member's natural tap when the full
     combination reaches the pinned point.  Pins never change whether a
     conference is routable.
     """
     policy = policy or RoutingPolicy()
-    dead = frozenset(faults) if faults else frozenset()
     confs = list(conferences)
+    dead = _fault_sets(faults, len(confs))
     pins = [None] * len(confs) if pins is None else list(pins)
     if len(pins) != len(confs):
         raise ValueError(f"got {len(pins)} pin maps for {len(confs)} conferences")
@@ -127,8 +142,8 @@ def route_batch(
         raise ValueError(f"pinned tap levels must lie in 0..{net.n_stages}")
     if policy.prune:
         return [
-            _route_one(net, conf, policy, dead, pin_map)
-            for conf, pin_map in zip(confs, pins)
+            _route_one(net, conf, policy, fs, pin_map)
+            for conf, fs, pin_map in zip(confs, dead, pins)
         ]
     outcomes: "list[BatchRouteOutcome | None]" = [None] * len(confs)
     kernel_idx: list[int] = []
@@ -142,13 +157,19 @@ def route_batch(
                 ),
             )
         elif len(conf.members) > MAX_KERNEL_MEMBERS:
-            outcomes[i] = _route_one(net, conf, policy, dead, pins[i])
+            outcomes[i] = _route_one(net, conf, policy, dead[i], pins[i])
         else:
             kernel_idx.append(i)
     chunk = max(1, _MAX_CELLS // net.n_ports)
     for start in range(0, len(kernel_idx), chunk):
         part = kernel_idx[start : start + chunk]
-        routed = _kernel(net, [confs[i] for i in part], policy, dead, [pins[i] for i in part])
+        routed = _kernel(
+            net,
+            [confs[i] for i in part],
+            policy,
+            [dead[i] for i in part],
+            [pins[i] for i in part],
+        )
         for i, outcome in zip(part, routed):
             outcomes[i] = outcome
     return outcomes  # type: ignore[return-value]
@@ -174,15 +195,52 @@ def _route_one(
         return BatchRouteOutcome(conf, error=exc)
 
 
-def _dead_rows_by_level(dead: frozenset, n_stages: int, n_rows: int) -> "list[np.ndarray | None]":
-    out: "list[np.ndarray | None]" = [None] * (n_stages + 1)
-    if dead:
-        by_level: dict[int, list[int]] = {}
-        for level, row in dead:
+def _fault_sets(
+    faults: "frozenset | Sequence[frozenset | None] | None", n_conf: int
+) -> list[frozenset]:
+    """``route_batch``'s ``faults`` as one fault set per conference.
+
+    A list or tuple whose items are all sets (or ``None``) gives one
+    set per conference; anything else is one set of points shared by
+    the batch (the same object repeated).
+    """
+    if (
+        isinstance(faults, (list, tuple))
+        and faults
+        and all(fs is None or isinstance(fs, AbstractSet) for fs in faults)
+    ):
+        if len(faults) != n_conf:
+            raise ValueError(f"got {len(faults)} fault sets for {n_conf} conferences")
+        return [frozenset(fs) if fs else _NO_FAULTS for fs in faults]
+    return [frozenset(faults) if faults else _NO_FAULTS] * n_conf
+
+
+def _dead_cells(
+    fault_sets: list[frozenset], n_stages: int, n_rows: int
+) -> "list[tuple[np.ndarray, np.ndarray] | None]":
+    """Per level, the ``(conference, row)`` cells the fault sets kill.
+
+    Conferences sharing one fault set are grouped, so a set shared by
+    the whole batch is parsed once and broadcast to every conference.
+    """
+    groups: dict[frozenset, list[int]] = {}
+    for c, fs in enumerate(fault_sets):
+        if fs:
+            groups.setdefault(fs, []).append(c)
+    cells: dict[int, tuple[list, list]] = {}
+    for fs, sharing in groups.items():
+        rows_at: dict[int, list[int]] = {}
+        for level, row in fs:
             if 0 <= level <= n_stages and 0 <= row < n_rows:
-                by_level.setdefault(level, []).append(row)
-        for level, rows in by_level.items():
-            out[level] = np.asarray(rows, dtype=np.int64)
+                rows_at.setdefault(level, []).append(row)
+        group = np.asarray(sharing, dtype=np.int64)
+        for level, rows in rows_at.items():
+            confs_at, rows_of = cells.setdefault(level, ([], []))
+            confs_at.append(np.repeat(group, len(rows)))
+            rows_of.append(np.tile(np.asarray(rows, dtype=np.int64), len(group)))
+    out: "list[tuple[np.ndarray, np.ndarray] | None]" = [None] * (n_stages + 1)
+    for level, (confs_at, rows_of) in cells.items():
+        out[level] = (np.concatenate(confs_at), np.concatenate(rows_of))
     return out
 
 
@@ -190,14 +248,14 @@ def _kernel(
     net: MultistageNetwork,
     confs: list[Conference],
     policy: RoutingPolicy,
-    dead: frozenset,
+    dead: list[frozenset],
     pins: "list[Mapping[int, int] | None]",
 ) -> list[BatchRouteOutcome]:
     """The columnar forward/tap/backward sweep over one chunk."""
     n_rows, n_stages, radix = net.n_ports, net.n_stages, net.radix
     n_conf = len(confs)
     succ, pred = net.successor_table, net.predecessor_table
-    dead_rows = _dead_rows_by_level(dead, n_stages, n_rows)
+    dead_cells = _dead_cells(dead, n_stages, n_rows)
 
     member_lists = [c.members for c in confs]
     sizes = np.fromiter((len(m) for m in member_lists), dtype=np.int64, count=n_conf)
@@ -218,15 +276,15 @@ def _kernel(
     # can be present at point (t, r) through surviving paths.
     cur = np.zeros((n_conf, n_rows), dtype=np.int64)
     cur[conf_of, members] = weights
-    if dead_rows[0] is not None:
-        cur[:, dead_rows[0]] = 0
+    if dead_cells[0] is not None:
+        cur[dead_cells[0]] = 0
     masks = [cur]
     for s in range(n_stages):
         nxt = cur[:, pred[s, :, 0]]
         for side in range(1, radix):
             nxt = nxt | cur[:, pred[s, :, side]]
-        if dead_rows[s + 1] is not None:
-            nxt[:, dead_rows[s + 1]] = 0
+        if dead_cells[s + 1] is not None:
+            nxt[dead_cells[s + 1]] = 0
         masks.append(nxt)
         cur = nxt
 
@@ -280,8 +338,8 @@ def _kernel(
         prev = below[:, succ[t - 1, :, 0]]
         for side in range(1, radix):
             prev = prev | below[:, succ[t - 1, :, side]]
-        if dead_rows[t - 1] is not None:
-            prev[:, dead_rows[t - 1]] = 0
+        if dead_cells[t - 1] is not None:
+            prev[dead_cells[t - 1]] = 0
         marked[t - 1] |= prev
 
     # Used region + sequential insertion order.  The sequential algorithm

@@ -409,30 +409,40 @@ class SelfHealingController:
         fault_sets = [frozenset(self._faults) if faults is None else frozenset(faults)]
         if include_healthy and fault_sets[0]:
             fault_sets.append(frozenset())
+        if self._cache is None:
+            self._primed.clear()  # entries are single-shot; drop leftovers
+        self._prime([(conf, fs) for fs in fault_sets for conf in confs])
+
+    def _prime(self, pairs: "list[tuple[Conference, frozenset]]") -> None:
+        """Route every ``(conference, fault set)`` pair not yet primed in
+        one :func:`~repro.core.batch.route_batch` call, and park the
+        results where :meth:`_route` looks first (the route cache, when
+        one is attached)."""
         if self._cache is not None:
-            for fs in fault_sets:
-                self._cache.prime(confs, faults=fs)
+            if pairs:
+                confs, fault_sets = zip(*pairs)
+                self._cache.prime(list(confs), faults=list(fault_sets))
             return
-        self._primed.clear()  # entries are single-shot; drop leftovers
-        for fs in fault_sets:
-            todo: dict[tuple, Conference] = {}
-            for conf in confs:
-                key = (conf.members, fs)
-                if key not in todo:
-                    todo[key] = conf
-            outcomes = route_batch(
-                self._network.topology,
-                list(todo.values()),
-                self._network.policy,
-                faults=fs or None,
-            )
-            for key, outcome in zip(todo, outcomes):
-                if outcome.ok:
-                    self._primed[key] = outcome.route
-                elif isinstance(outcome.error, UnroutableError):
-                    self._primed[key] = UnroutableError(*outcome.error.args)
-                # Out-of-range members: not primeable — the sequential
-                # path raises the same ValueError itself.
+        todo: dict[tuple, Conference] = {}
+        for conf, fs in pairs:
+            key = (conf.members, fs)
+            if key not in self._primed:
+                todo.setdefault(key, conf)
+        if not todo:
+            return
+        outcomes = route_batch(
+            self._network.topology,
+            list(todo.values()),
+            self._network.policy,
+            [fs for _members, fs in todo],
+        )
+        for key, outcome in zip(todo, outcomes):
+            if outcome.ok:
+                self._primed[key] = outcome.route
+            elif isinstance(outcome.error, UnroutableError):
+                self._primed[key] = UnroutableError(*outcome.error.args)
+            # Out-of-range members: not primeable — the sequential
+            # path raises the same ValueError itself.
 
     def link_load(self, link: Point) -> int:
         """Current channel load on one inter-stage link."""
@@ -541,7 +551,7 @@ class SelfHealingController:
                 self._degraded.add(cid)
         else:
             self._healthy[cid] = route
-        self._protect(route)
+        self._replan([route])
         return route
 
     def leave(self, conference_id: int, now: "float | None" = None) -> None:
@@ -584,7 +594,13 @@ class SelfHealingController:
         faults = frozenset(self._faults)
         churn = self._resize_churn(old, conference, faults)
         new = self._inner.apply_churn(churn)
-        self._healthy[conference_id] = self._route(conference) if faults else new
+        if faults:
+            # The fault-free reference route shares the re-plan's kernel
+            # call: its plans are primed now and found by _replan below.
+            self._prime([(conference, frozenset())] + self._plan_pairs([new]))
+            self._healthy[conference_id] = self._route(conference)
+        else:
+            self._healthy[conference_id] = new
         self._update_degraded(conference_id, new, now=now)
         touched = churn.links_added | churn.links_removed
         if touched:
@@ -592,7 +608,7 @@ class SelfHealingController:
                 self._cache.invalidate_links(touched)
             if self._plans is not None:
                 self._plans.invalidate_links(touched)
-        self._protect(new)
+        self._replan([new])
         if self.tracer is not None:
             self.tracer.event(
                 "conference.resize",
@@ -751,7 +767,7 @@ class SelfHealingController:
             )
         for cid in affected:
             self._heal(loop, cid, self._inner.route_of(cid), faults, point=point)
-        self._reprotect(faults)
+        self._replan(self._live_routes())
         self._observe(loop.now)
 
     def apply_repair(self, loop: "EventLoop", point: Point) -> None:
@@ -783,7 +799,7 @@ class SelfHealingController:
             if not self._swap(cid, cur, new, now=loop.now):
                 continue  # no capacity for the better route yet
             self._update_degraded(cid, new, now=loop.now)
-        self._reprotect(faults)
+        self._replan(self._live_routes())
         self._observe(loop.now)
 
     def _heal(
@@ -870,35 +886,49 @@ class SelfHealingController:
 
     # -- backup-plan maintenance (off the failover critical path) ----------
 
-    def _protect(self, route: Route) -> None:
-        """(Re)plan one conference's backup routings for its live route."""
-        if self._plans is None:
-            return
-        self._plans.protect(
-            route.conference,
-            route,
-            frozenset(self._faults),
-            router=self._route,
-            load_of=self._inner.link_load,
-        )
+    def _replan(self, routes: "list[Route]") -> None:
+        """(Re)plan the backup routings of ``routes`` under the current
+        fault set.
 
-    def _reprotect(self, faults: frozenset) -> None:
-        """Re-plan every live conference after a fault-set change.
+        Each route's protected links are ranked off the admission
+        ledger, every ``(conference, faults | {point})`` plan is routed
+        in one kernel call (see :meth:`_prime`), and the store then cuts
+        each conference's plans from those primed routes.
 
-        Runs *after* the transition's healing walk, so the O(1) switch
-        already happened; this is the background work that keeps plans
-        valid for the *next* single fault on top of the new set.  Plans
-        whose conference was unaffected are recut too — their old base
-        fault set no longer matches, so they would only ever be stale.
+        After a fault transition this runs over every live conference,
+        *after* the healing walk, so the O(1) switch already happened;
+        it is the background work that keeps plans valid for the *next*
+        single fault on top of the new set.  Plans whose conference was
+        unaffected are recut too — their old base fault set no longer
+        matches, so they would only ever be stale.
         """
-        if self._plans is None:
+        if self._plans is None or not routes:
             return
-        for cid in sorted(self._inner.live_conferences):
-            route = self._inner.route_of(cid)
+        self._prime(self._plan_pairs(routes))
+        faults = frozenset(self._faults)
+        for route in routes:
             self._plans.protect(
                 route.conference, route, faults,
-                router=self._route, load_of=self._inner.link_load,
+                router=self._route, load_of=self._inner._ledger,
             )
+
+    def _plan_pairs(self, routes: "list[Route]") -> "list[tuple[Conference, frozenset]]":
+        """The ``(conference, faults | {point})`` routings that re-planning
+        ``routes`` asks for: one per protected link, ranked off the
+        admission ledger exactly as :meth:`BackupPlanStore.protect` ranks."""
+        if self._plans is None:
+            return []
+        base = frozenset(self._faults)
+        ledger = self._inner._ledger
+        return [
+            (route.conference, base | {point})
+            for route in routes
+            for point in self._plans._top_links(route, ledger)
+        ]
+
+    def _live_routes(self) -> "list[Route]":
+        """The live routes, in conference-id order."""
+        return [self._inner.route_of(cid) for cid in sorted(self._inner.live_conferences)]
 
     def _update_degraded(self, cid: int, route: Route, now: "float | None" = None) -> None:
         was = cid in self._degraded
@@ -1027,11 +1057,14 @@ class SelfHealingController:
             "repro_conflict_multiplicity",
             "Peak observed conflict multiplicity (max link load) per entering stage",
         )
-        for level, loads in self._inner.stage_loads().items():
-            stage = str(level)
-            for load in loads:
-                occupancy.observe(load, stage=stage)
-            multiplicity.set_max(max(loads), stage=stage)
+        # Straight off the admission ledger: one bulk histogram add and
+        # one gauge update per occupied stage.
+        for level, row in enumerate(self._inner._ledger):
+            loads = row[row > 0]
+            if loads.size:
+                stage = str(level)
+                occupancy.observe_many(loads, stage=stage)
+                multiplicity.set_max(int(loads.max()), stage=stage)
 
     def finalize(self, now: float) -> None:
         """Close the availability integrals at the simulation horizon."""

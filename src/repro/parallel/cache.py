@@ -29,7 +29,7 @@ executes reuses them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -227,7 +227,7 @@ class RouteCache:
     def prime(
         self,
         conferences: "Iterable[Conference | list[int] | tuple[int, ...]]",
-        faults: "frozenset[Point] | None" = None,
+        faults: "frozenset[Point] | Sequence[frozenset[Point] | None] | None" = None,
     ) -> int:
         """Batch-compute and store routes for every absent conference.
 
@@ -235,19 +235,24 @@ class RouteCache:
         all misses in one pass; present entries are left untouched, so a
         ``prime`` followed by ``route`` calls returns exactly the routes
         the sequential path would have computed — priming moves work, not
-        decisions.  Hit/miss statistics and trace events are *not*
+        decisions.  ``faults`` takes the forms ``route_batch`` takes: one
+        fault set for every conference, or one per conference (``None``
+        there means no faults); left out, it is the tracked fault
+        context.  Hit/miss statistics and trace events are *not*
         recorded here (they belong to lookups); only evictions tick when
         the batch overflows ``maxsize``.  Returns the number of entries
         inserted.
         """
-        from repro.core.batch import route_batch
+        from repro.core.batch import _fault_sets, route_batch
 
-        key_faults = self._faults if faults is None else (frozenset(faults) or _NO_FAULTS)
+        confs = [c if isinstance(c, Conference) else Conference.of(c) for c in conferences]
+        if faults is None:
+            key_faults = [self._faults] * len(confs)
+        else:
+            key_faults = _fault_sets(faults, len(confs))
         todo: "OrderedDict[tuple, Conference]" = OrderedDict()
-        for conference in conferences:
-            if not isinstance(conference, Conference):
-                conference = Conference.of(conference)
-            key = (conference.members, key_faults)
+        for conference, fs in zip(confs, key_faults):
+            key = (conference.members, fs)
             if key not in self._entries and key not in todo:
                 todo[key] = conference
         if not todo:
@@ -256,7 +261,7 @@ class RouteCache:
             self._network,
             list(todo.values()),
             self._policy,
-            faults=key_faults or None,
+            [fs for _members, fs in todo],
         )
         stored = 0
         for key, outcome in zip(todo, outcomes):

@@ -28,8 +28,9 @@ Unroutable outcomes are planned too: a **negative plan** records that
 the conference cannot survive the protected link's death, so the
 controller can drop it in O(1) instead of re-discovering the dead end.
 
-Memory is the price: each positive plan stores one ``(levels, taps)``
-route body, so a store holds at most ``live conferences × F`` plans.
+Memory is the price: each positive plan stores one route (its
+``(levels, taps)`` body and the cached link walk), so a store holds at
+most ``live conferences × F`` plans.
 :meth:`BackupPlanStore.footprint` reports the realized cost for the
 memory-vs-F tradeoff table in ``benchmarks/results/``.
 """
@@ -38,6 +39,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.core.conference import Conference
 from repro.core.routing import Route, RoutingPolicy, UnroutableError
@@ -126,6 +129,10 @@ class BackupPlan:
     point: Point
     base_faults: frozenset[Point]
     entry: "tuple | UnroutableError" = field(repr=False)
+    # The router's Route behind a positive ``entry``: a hit serves it
+    # and churn tests crossings against its cached link walk, instead of
+    # rebuilding both from ``entry`` each time.
+    _route: "Route | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def unroutable(self) -> bool:
@@ -250,32 +257,52 @@ class BackupPlanStore:
         membership churn or a changed live route can never leave a plan
         for a link the call no longer crosses).  ``load_of`` ranks the
         route's links by current channel load, most-loaded first (ties
-        broken by point order, for determinism); without it the ranking
-        degenerates to point order.  Returns the number of plans stored.
+        broken by point order, for determinism): a callable
+        ``point -> load``, or the stage-major ``(n_stages + 1, n_ports)``
+        load matrix itself; without it the ranking degenerates to point
+        order.  Returns the number of plans stored.
         """
         cid = conference.conference_id
         self._plans.pop(cid, None)
         if self._protection == 0:
             return 0
         base = frozenset(faults) if faults else _NO_FAULTS
-        links = sorted(route.links)
-        if load_of is not None:
-            links.sort(key=lambda p: (-load_of(p), p))
         plans: dict[Point, BackupPlan] = {}
-        for point in links[: self._protection]:
+        for point in self._top_links(route, load_of):
+            alt: "Route | None" = None
             try:
                 alt = router(conference, base | {point})
                 entry: "tuple | UnroutableError" = (alt.levels, dict(alt.taps))
             except UnroutableError as exc:
                 entry = UnroutableError(*exc.args)
                 self.stats.unroutable += 1
-            plans[point] = BackupPlan(
+            plan = BackupPlan(
                 members=conference.members, point=point, base_faults=base, entry=entry
             )
+            object.__setattr__(plan, "_route", alt)  # frozen: set once, here
+            plans[point] = plan
             self.stats.computed += 1
         if plans:
             self._plans[cid] = plans
         return len(plans)
+
+    def _top_links(
+        self, route: Route, load_of: "Callable[[Point], int] | np.ndarray | None"
+    ) -> list[Point]:
+        """The F links :meth:`protect` plans for: the most loaded first,
+        ties broken by point order (the order of flat link indices)."""
+        index = route.link_index
+        if load_of is None:
+            loads = np.zeros(len(index), dtype=np.int64)
+        elif isinstance(load_of, np.ndarray):
+            loads = load_of.reshape(-1)[index]
+        else:
+            loads = np.array([load_of(point) for point in route.links])
+        n_ports = route.n_ports
+        return [
+            (flat // n_ports, flat % n_ports)
+            for flat in index[np.lexsort((index, -loads))[: self._protection]].tolist()
+        ]
 
     def lookup(
         self, conference: Conference, point: Point, faults: frozenset
@@ -285,8 +312,9 @@ class BackupPlanStore:
         Returns ``(status, payload)`` where status is:
 
         * ``"hit"`` — a valid plan covers the fault; payload is the
-          stored :class:`~repro.core.routing.Route` (rebuilt around the
-          requesting conference) or, for a negative plan, the recorded
+          stored :class:`~repro.core.routing.Route` (served to the
+          requesting conference, sharing the stored link walk) or, for
+          a negative plan, the recorded
           :class:`UnroutableError` — either way identical to what the
           reactive path would compute;
         * ``"stale"`` — a plan exists but its base fault set or
@@ -310,14 +338,7 @@ class BackupPlanStore:
         self._trace("plan.hit", cid, point)
         if plan.unroutable:
             return "hit", UnroutableError(*plan.entry.args)
-        levels, taps = plan.entry
-        return "hit", Route(
-            conference=conference,
-            n_ports=self._network.n_ports,
-            n_stages=self._network.n_stages,
-            levels=levels,
-            taps=taps,
-        )
+        return "hit", plan._route._serving(conference)
 
     def invalidate(self, conference_id: int) -> int:
         """Drop every plan of one conference (leave/close/drop).
@@ -364,14 +385,7 @@ class BackupPlanStore:
     @staticmethod
     def _plan_crosses(plan: BackupPlan, touched: frozenset) -> bool:
         """Does a positive plan's backup route use any touched link?"""
-        if plan.unroutable:
-            return False
-        levels, _taps = plan.entry
-        return any(
-            (t, row) in touched
-            for t in range(1, len(levels))
-            for row in levels[t]
-        )
+        return plan._route is not None and not touched.isdisjoint(plan._route.links)
 
     def clear(self) -> None:
         """Drop every plan (stats are kept)."""

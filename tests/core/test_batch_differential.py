@@ -339,6 +339,135 @@ class TestPinnedRouteGrid:
             route_batch(net, [Conference.of([0, 1])], pins=[{0: level}])
 
 
+def random_fault_sets(net, batch, rng):
+    """One fault set per conference, mixing every form ``route_batch``
+    takes per item: ``None``, empty, one set shared by several
+    conferences (the same object), and sets of their own — some with
+    dead injections (level 0) and one point off the fabric."""
+    def draw(k):
+        return frozenset(
+            (int(rng.integers(0 if rng.random() < 0.2 else 1, net.n_stages + 1)),
+             int(rng.integers(net.n_ports)))
+            for _ in range(k)
+        )
+
+    shared = draw(3)
+    out = []
+    for _ in batch:
+        roll = rng.random()
+        if roll < 0.15:
+            out.append(None)
+        elif roll < 0.25:
+            out.append(frozenset())
+        elif roll < 0.55:
+            out.append(shared)
+        else:
+            out.append(draw(int(rng.integers(1, 5))) | {(net.n_stages + 2, 0)})
+    return out
+
+
+def per_conference_oracle(net, batch, fault_sets, policy=None, pins=None):
+    """Outcome ``i`` is ``route_conference_sequential(conf_i, faults_i)``."""
+    pins = pins or [None] * len(batch)
+    return [
+        sequential_outcomes(net, [conf], policy, faults, pins=[pin_map])[0]
+        for conf, faults, pin_map in zip(batch, fault_sets, pins)
+    ]
+
+
+class TestPerConferenceFaultsGrid:
+    """The per-conference ``faults`` axis: conference ``i`` routed under
+    its own fault set, against the oracle one conference at a time."""
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("tap", ["earliest", "final"])
+    @pytest.mark.parametrize("seed", [2, 13])
+    def test_faults_per_conference_match_sequential(self, topology, tap, seed):
+        net = build(topology, 16)
+        policy = RoutingPolicy(tap_policy=tap)
+        rng = ensure_rng(seed)
+        batch = random_batch(16, rng, size=30)
+        fault_sets = random_fault_sets(net, batch, rng)
+        batched = route_batch(net, batch, policy, fault_sets)
+        assert_outcomes_identical(batched, per_conference_oracle(net, batch, fault_sets, policy))
+        if topology == "indirect-binary-cube":  # the failure branch is reached too
+            assert any(isinstance(o.error, UnroutableError) for o in batched)
+
+    def test_shared_set_as_a_sequence_equals_the_shared_form(self):
+        net = build("extra-stage-cube", 16)
+        rng = ensure_rng(4)
+        batch = random_batch(16, rng, size=20)
+        faults = frozenset({(1, 3), (2, 9), (4, 0), (0, 5)})
+        assert_outcomes_identical(
+            route_batch(net, batch, faults=[faults] * len(batch)),
+            route_batch(net, batch, faults=faults),
+        )
+
+    def test_per_conference_faults_cross_chunks(self, monkeypatch):
+        import repro.core.batch as batch_module
+
+        monkeypatch.setattr(batch_module, "_MAX_CELLS", 3 * 16)  # three conferences a chunk
+        net = build("indirect-binary-cube", 16)
+        rng = ensure_rng(6)
+        batch = random_batch(16, rng, size=17)
+        fault_sets = random_fault_sets(net, batch, rng)
+        assert_outcomes_identical(
+            route_batch(net, batch, faults=fault_sets),
+            per_conference_oracle(net, batch, fault_sets),
+        )
+
+    def test_oversized_conference_uses_its_own_faults(self):
+        net = build("extra-stage-cube", 128)
+        big = Conference.of(range(0, 2 * (MAX_KERNEL_MEMBERS + 1), 2), 0)
+        batch = [big, Conference.of([1, 3, 9], 1), big, Conference.of([5, 77], 2)]
+        fault_sets = [
+            frozenset({(2, 4), (5, 40)}),
+            frozenset({(1, 1), (3, 9)}),
+            None,
+            frozenset({(0, 77)}),  # member 77's injection is dead
+        ]
+        batched = route_batch(net, batch, faults=fault_sets)
+        assert_outcomes_identical(batched, per_conference_oracle(net, batch, fault_sets))
+        assert repr(batched[0].route) != repr(batched[2].route)
+        assert isinstance(batched[3].error, UnroutableError)
+
+    def test_prune_policy_uses_each_conferences_faults(self):
+        net = build("indirect-binary-cube", 16)
+        policy = RoutingPolicy(prune=True)
+        rng = ensure_rng(9)
+        batch = random_batch(16, rng, size=12)
+        fault_sets = random_fault_sets(net, batch, rng)
+        assert_outcomes_identical(
+            route_batch(net, batch, policy, fault_sets),
+            per_conference_oracle(net, batch, fault_sets, policy),
+        )
+
+    def test_with_pins(self):
+        net = build("extra-stage-cube", 16)
+        rng = ensure_rng(21)
+        batch = random_batch(16, rng, size=24)
+        fault_sets = random_fault_sets(net, batch, rng)
+        pins = random_pins(net, batch, rng)
+        assert_outcomes_identical(
+            route_batch(net, batch, faults=fault_sets, pins=pins),
+            per_conference_oracle(net, batch, fault_sets, pins=pins),
+        )
+
+    def test_fault_set_count_must_match(self):
+        net = build("omega", 16)
+        with pytest.raises(ValueError, match="fault sets"):
+            route_batch(net, [Conference.of([0, 1])], faults=[frozenset(), frozenset({(1, 0)})])
+
+    def test_a_tuple_of_points_is_one_shared_set(self):
+        net = build("omega", 16)
+        batch = [Conference.of([0, 1], 0), Conference.of([2, 3], 1)]
+        points = ((1, 0), (2, 2))
+        assert_outcomes_identical(
+            route_batch(net, batch, faults=points),
+            route_batch(net, batch, faults=frozenset(points)),
+        )
+
+
 class TestConflictEquality:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     @pytest.mark.parametrize("seed", [0, 9])

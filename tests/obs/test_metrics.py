@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     DEFAULT_OCCUPANCY_BUCKETS,
@@ -79,6 +82,76 @@ class TestHistogram:
     def test_needs_buckets(self):
         with pytest.raises(ValueError):
             MetricsRegistry().histogram("h", buckets=())
+
+    def test_bucket_rule_is_first_bound_at_or_above(self):
+        h = MetricsRegistry().histogram("h", buckets=(1, 2.5, 4))
+        for v in (0, 1, 1.5, 2.5, 2.6, 4, 4.01, float("inf"), float("nan")):
+            h.observe(v)
+        assert h._series[()]["counts"] == [2, 2, 2, 3]  # le1, le2.5, le4, +Inf
+
+
+def looped_and_bulk(buckets, batches):
+    """Two registries fed the same integer batches: ``observe`` one value
+    at a time, and one ``observe_many`` call per batch."""
+    looped, bulk = MetricsRegistry(), MetricsRegistry()
+    for label, values, offset in batches:
+        h = looped.histogram("repro_h", "help", buckets=buckets)
+        if offset is not None:  # a non-integer sum makes the bulk add go value by value
+            h.observe(offset, stage=label)
+            bulk.histogram("repro_h", "help", buckets=buckets).observe(offset, stage=label)
+        for v in values:
+            h.observe(v, stage=label)
+        bulk.histogram("repro_h", "help", buckets=buckets).observe_many(
+            np.asarray(values, dtype=np.int64), stage=label
+        )
+    return looped, bulk
+
+
+class TestObserveMany:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        buckets=st.lists(st.integers(-5, 300), min_size=1, max_size=8, unique=True),
+        batches=st.lists(
+            st.tuples(
+                st.sampled_from(["1", "2", "7"]),
+                st.lists(st.integers(-10, 1000), max_size=40),
+                st.none() | st.floats(-1e3, 1e3, allow_nan=False),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_bytes_equal_a_loop_of_observe(self, buckets, batches):
+        looped, bulk = looped_and_bulk(tuple(buckets), batches)
+        assert bulk.render_prometheus() == looped.render_prometheus()
+        assert bulk.to_json() == looped.to_json()
+
+    def test_empty_input_records_nothing(self):
+        looped, bulk = looped_and_bulk((1, 2), [("1", [], None)])
+        assert bulk.render_prometheus() == looped.render_prometheus()
+        assert bulk.get("repro_h").labelsets() == []
+
+    def test_values_above_the_last_bucket_land_in_inf(self):
+        looped, bulk = looped_and_bulk(
+            DEFAULT_OCCUPANCY_BUCKETS, [("3", [1, 256, 257, 10**6], None)]
+        )
+        assert bulk.render_prometheus() == looped.render_prometheus()
+        assert bulk.get("repro_h")._series[(("stage", "3"),)]["counts"][-1] == 2
+
+    def test_huge_sums_stay_sequential(self):
+        # Past 2**53 float addition rounds: the bulk path must add value
+        # by value there, as the loop does.
+        looped, bulk = looped_and_bulk((1,), [("1", [2**53, 1, 1], None)])
+        assert bulk.to_json() == looped.to_json()
+        assert bulk.get("repro_h").sum(stage="1") == 2**53  # each +1 rounds away
+        # A non-integer running sum: 0.5 + (2**52 + 1) rounds up to even.
+        looped, bulk = looped_and_bulk((1,), [("2", [2**52 + 1, 1], 0.5)])
+        assert bulk.to_json() == looped.to_json()
+        assert bulk.get("repro_h").sum(stage="2") == 2**52 + 3
+
+    def test_float_input_is_refused(self):
+        h = MetricsRegistry().histogram("h", buckets=(1,))
+        with pytest.raises(TypeError, match="integers"):
+            h.observe_many(np.array([0.5]))
 
 
 class TestExposition:

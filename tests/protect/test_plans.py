@@ -89,6 +89,24 @@ class TestStoreLifecycle:
         s.protect(conf, route, frozenset(), router, load_of=lambda p: 9 if p == hot else 0)
         assert s.protected_points(3) == frozenset({hot})
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_load_matrix_ranks_like_a_load_callable(self, seed):
+        # The matrix form ranks by (-load, point) exactly as the callable
+        # form does, ties included (loads drawn from {0, 1, 2}).
+        import numpy as np
+
+        net = build("extra-stage-cube", N_PORTS)
+        loads = np.random.default_rng(seed).integers(0, 3, size=(net.n_stages + 1, N_PORTS))
+        conf = Conference.of([0, 3, 6, 9, 12], 5)
+        chosen = []
+        for load_of in (loads, lambda p: int(loads[p])):
+            s, router = store(protection=4)
+            route = router(conf)
+            s.protect(conf, route, frozenset(), router, load_of=load_of)
+            chosen.append(list(s.plans_of(5)))
+        expected = sorted(route.links, key=lambda p: (-int(loads[p]), p))[:4]
+        assert chosen == [expected, expected]
+
     def test_hit_returns_route_bit_identical_to_reactive(self):
         s, router = store(protection=64)
         conf = Conference.of([0, 1, 2], 4)
